@@ -9,11 +9,11 @@ package probdedup_test
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 
 	"probdedup"
+	"probdedup/internal/dataset"
 	"probdedup/internal/experiments"
 	"probdedup/internal/paperdata"
 	"probdedup/internal/ssr"
@@ -589,53 +589,6 @@ func BenchmarkDetectStreamFromScratch(b *testing.B) {
 	}
 }
 
-// skewedBenchCorpus builds the skewed-key corpus of the scale suite
-// (cmd/pdbench -bench-scale): long random fields under a blocking key
-// that concentrates half the tuples in hot blocks of ~192 members, so
-// every arrival is enumerated against hundreds of candidates of which
-// almost none can reach the decision threshold. A small duplicate
-// fraction keeps real matches flowing.
-func skewedBenchCorpus(n, arrivals int, seed int64) (resident, pool []*probdedup.XTuple, schema []string) {
-	const (
-		hotBlock  = 192
-		coldBlock = 16
-	)
-	rng := rand.New(rand.NewSource(seed))
-	hotBlocks := n / 2 / hotBlock
-	if hotBlocks < 1 {
-		hotBlocks = 1
-	}
-	word := func() string {
-		b := make([]byte, 36+rng.Intn(25))
-		for i := range b {
-			b[i] = byte('a' + rng.Intn(26))
-		}
-		return string(b)
-	}
-	var prevName, prevJob, prevBlock string
-	mk := func(id int, block string) *probdedup.XTuple {
-		xid := fmt.Sprintf("t%07d", id)
-		if prevName != "" && prevBlock == block && rng.Float64() < 0.02 {
-			prevName += "x"
-			return probdedup.NewXTuple(xid, probdedup.NewAlt(1, prevName, prevJob, block))
-		}
-		prevName, prevJob, prevBlock = word(), word(), block
-		return probdedup.NewXTuple(xid, probdedup.NewAlt(1, prevName, prevJob, block))
-	}
-	schema = []string{"name", "job", "block"}
-	for i := 0; i < n; i++ {
-		block := fmt.Sprintf("c%07d", (i-n/2)/coldBlock)
-		if i < n/2 {
-			block = fmt.Sprintf("h%07d", i/hotBlock)
-		}
-		resident = append(resident, mk(i, block))
-	}
-	for i := 0; i < arrivals; i++ {
-		pool = append(pool, mk(n+i, fmt.Sprintf("h%07d", rng.Intn(hotBlocks))))
-	}
-	return resident, pool, schema
-}
-
 // skewedBenchOpts is the scale-suite configuration: blocking on the
 // skewed key, Levenshtein everywhere, thresholds wide enough for the
 // q-gram count filter to prove non-duplicates out. The default shared
@@ -657,7 +610,7 @@ func skewedBenchOpts(b *testing.B, schema []string, workers int, filtered bool) 
 }
 
 // BenchmarkDetectorAddBatchSkewed is BenchmarkDetectorAddBatch on the
-// skewed corpus with the candidate pre-filter as a sweep dimension:
+// skewed corpus the scale suite shares (dataset.Skewed) with the candidate pre-filter as a sweep dimension:
 // the prefilter=true/false pairs at equal size and workers measure
 // what constant-time rejection from precomputed symbol statistics buys
 // when verification cost dominates (the committed evidence at 10k/100k
@@ -675,7 +628,8 @@ func BenchmarkDetectorAddBatchSkewed(b *testing.B) {
 		for _, filtered := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				b.Run(fmt.Sprintf("resident=%d/prefilter=%t/workers=%d", n, filtered, workers), func(b *testing.B) {
-					resident, pool, schema := skewedBenchCorpus(n, batchSize, 42)
+					c := dataset.Skewed(n, batchSize, 42)
+					resident, pool, schema := c.Residents, c.Arrivals, c.Schema
 					det, err := probdedup.NewDetector(schema, skewedBenchOpts(b, schema, workers, filtered), nil)
 					if err != nil {
 						b.Fatal(err)

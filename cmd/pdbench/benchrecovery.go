@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"probdedup"
+	"probdedup/internal/dataset"
 )
 
 // The recovery suite measures the durable online engine's crash
@@ -49,8 +50,8 @@ const recoveryTailBatches = 4
 // checkpoints, ingests a WAL tail, simulates a crash, and measures the
 // reopen.
 func runBenchRecoveryOnce(n int, seed int64) (recoveryEntry, error) {
-	c := genScaleCorpus(n, recoveryTailBatches*scaleBatchSize, seed)
-	opts, err := scaleOpts(c.schema, 1, true)
+	c := dataset.Skewed(n, recoveryTailBatches*scaleBatchSize, seed)
+	opts, err := scaleOpts(c.Schema, 1, true)
 	if err != nil {
 		return recoveryEntry{}, err
 	}
@@ -64,17 +65,17 @@ func runBenchRecoveryOnce(n int, seed int64) (recoveryEntry, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	det, err := probdedup.OpenDurable(dir, c.schema, opts, nil)
+	det, err := probdedup.OpenDurable(dir, c.Schema, opts, nil)
 	if err != nil {
 		return recoveryEntry{}, err
 	}
 	start := time.Now() //pdlint:allow nowallclock -- benchmark stopwatch; measures the harness, not engine state
-	for lo := 0; lo < len(c.residents); lo += seedChunk {
+	for lo := 0; lo < len(c.Residents); lo += seedChunk {
 		hi := lo + seedChunk
-		if hi > len(c.residents) {
-			hi = len(c.residents)
+		if hi > len(c.Residents) {
+			hi = len(c.Residents)
 		}
-		if err := det.AddBatch(c.residents[lo:hi]); err != nil {
+		if err := det.AddBatch(c.Residents[lo:hi]); err != nil {
 			return recoveryEntry{}, fmt.Errorf("seed: %w", err)
 		}
 	}
@@ -86,8 +87,8 @@ func runBenchRecoveryOnce(n int, seed int64) (recoveryEntry, error) {
 	}
 	checkpointNs := time.Since(start).Nanoseconds()
 
-	for lo := 0; lo+scaleBatchSize <= len(c.arrivals); lo += scaleBatchSize {
-		if err := det.AddBatch(c.arrivals[lo : lo+scaleBatchSize]); err != nil {
+	for lo := 0; lo+scaleBatchSize <= len(c.Arrivals); lo += scaleBatchSize {
+		if err := det.AddBatch(c.Arrivals[lo : lo+scaleBatchSize]); err != nil {
 			return recoveryEntry{}, fmt.Errorf("tail: %w", err)
 		}
 	}
@@ -102,14 +103,14 @@ func runBenchRecoveryOnce(n int, seed int64) (recoveryEntry, error) {
 	}
 
 	start = time.Now() //pdlint:allow nowallclock -- benchmark stopwatch; measures the harness, not engine state
-	det2, err := probdedup.OpenDurable(dir, c.schema, opts, nil)
+	det2, err := probdedup.OpenDurable(dir, c.Schema, opts, nil)
 	if err != nil {
 		return recoveryEntry{}, fmt.Errorf("recover: %w", err)
 	}
 	recoverNs := time.Since(start).Nanoseconds()
 	defer det2.Abort()
 
-	wantLen := len(c.residents) + recoveryTailBatches*scaleBatchSize
+	wantLen := len(c.Residents) + recoveryTailBatches*scaleBatchSize
 	if got := det2.Len(); got != wantLen {
 		return recoveryEntry{}, fmt.Errorf("recovered %d residents, want %d", got, wantLen)
 	}

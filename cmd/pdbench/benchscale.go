@@ -3,12 +3,12 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"time"
 
 	"probdedup"
+	"probdedup/internal/dataset"
 )
 
 // The scale suite measures what the symbol-plane candidate pre-filter
@@ -60,90 +60,6 @@ type scaleReport struct {
 // actually ingests.
 const scaleBatchSize = 256
 
-// scaleCorpus is a skewed synthetic corpus: half the tuples land in
-// hot blocks of ~192 members, the rest in cold blocks of 16, under the
-// blocking key "block:8". Names and jobs are random strings with
-// essentially no shared q-grams across distinct entities, so a
-// non-duplicate pair is provably below the threshold from the
-// precomputed symbol statistics alone; a small duplicate fraction
-// (near-identical name, same job and block) keeps the match machinery
-// honest. Arrivals target hot blocks only — the skew is the point.
-type scaleCorpus struct {
-	schema    []string
-	residents []*probdedup.XTuple
-	arrivals  []*probdedup.XTuple
-}
-
-const (
-	scaleHotBlock  = 192
-	scaleColdBlock = 16
-	scaleDupFrac   = 0.02
-)
-
-// genScaleCorpus builds the deterministic skewed corpus: n residents
-// plus the given number of arrivals.
-func genScaleCorpus(n, arrivals int, seed int64) scaleCorpus {
-	rng := rand.New(rand.NewSource(seed))
-	hotBlocks := n / 2 / scaleHotBlock
-	if hotBlocks < 1 {
-		hotBlocks = 1
-	}
-	// Long fields (36–60 chars, think titles or street addresses) put
-	// the measurement in the regime the filter targets: quadratic
-	// verification cost per pair, constant-time rejection from the
-	// precomputed symbol statistics.
-	randWord := func() string {
-		b := make([]byte, 36+rng.Intn(25))
-		for i := range b {
-			b[i] = byte('a' + rng.Intn(26))
-		}
-		return string(b)
-	}
-	var prev *probdedup.XTuple
-	mk := func(id int, block string) *probdedup.XTuple {
-		xid := fmt.Sprintf("t%07d", id)
-		// A duplicate repeats its predecessor's values with one edit in
-		// the name — same block, so the reduction enumerates the pair
-		// and the filter must let it through.
-		if prev != nil && rng.Float64() < scaleDupFrac && prev.Alts[0].Values[2].Alternatives()[0].Value.S() == block {
-			name := prev.Alts[0].Values[0].Alternatives()[0].Value.S() + "x"
-			job := prev.Alts[0].Values[1].Alternatives()[0].Value.S()
-			x := probdedup.NewXTuple(xid, probdedup.NewAlt(1, name, job, block))
-			prev = x
-			return x
-		}
-		name, job := randWord(), randWord()
-		var x *probdedup.XTuple
-		if rng.Float64() < 0.3 {
-			// A genuinely probabilistic tuple: two alternatives with
-			// distinct names, exercising the alternative cross product in
-			// both verification and the filter's per-attribute bound.
-			x = probdedup.NewXTuple(xid,
-				probdedup.NewAlt(0.7, name, job, block),
-				probdedup.NewAlt(0.3, randWord(), job, block))
-		} else {
-			x = probdedup.NewXTuple(xid, probdedup.NewAlt(1, name, job, block))
-		}
-		prev = x
-		return x
-	}
-	blockOf := func(i int) string {
-		if i < n/2 {
-			return fmt.Sprintf("h%07d", i/scaleHotBlock)
-		}
-		return fmt.Sprintf("c%07d", (i-n/2)/scaleColdBlock)
-	}
-	c := scaleCorpus{schema: []string{"name", "job", "block"}}
-	for i := 0; i < n; i++ {
-		c.residents = append(c.residents, mk(i, blockOf(i)))
-	}
-	for i := 0; i < arrivals; i++ {
-		block := fmt.Sprintf("h%07d", rng.Intn(hotBlocks))
-		c.arrivals = append(c.arrivals, mk(n+i, block))
-	}
-	return c
-}
-
 // scaleOpts is the measured configuration: blocking on the skewed key,
 // Levenshtein on every attribute, thresholds wide enough that the
 // q-gram count filter can prove non-duplicates out.
@@ -168,22 +84,22 @@ const seedChunk = 4096
 // runScaleOnce seeds the detector and ingests every arrival batch,
 // returning the measurements and the declared M/P pair set of the
 // final state (the identity witness).
-func runScaleOnce(c scaleCorpus, workers int, filtered bool) (scaleEntry, map[string]probdedup.Class, error) {
-	opts, err := scaleOpts(c.schema, workers, filtered)
+func runScaleOnce(c dataset.SkewedCorpus, workers int, filtered bool) (scaleEntry, map[string]probdedup.Class, error) {
+	opts, err := scaleOpts(c.Schema, workers, filtered)
 	if err != nil {
 		return scaleEntry{}, nil, err
 	}
-	det, err := probdedup.NewDetector(c.schema, opts, nil)
+	det, err := probdedup.NewDetector(c.Schema, opts, nil)
 	if err != nil {
 		return scaleEntry{}, nil, err
 	}
 	start := time.Now() //pdlint:allow nowallclock -- benchmark stopwatch; measures the harness, not engine state
-	for lo := 0; lo < len(c.residents); lo += seedChunk {
+	for lo := 0; lo < len(c.Residents); lo += seedChunk {
 		hi := lo + seedChunk
-		if hi > len(c.residents) {
-			hi = len(c.residents)
+		if hi > len(c.Residents) {
+			hi = len(c.Residents)
 		}
-		if err := det.AddBatch(c.residents[lo:hi]); err != nil {
+		if err := det.AddBatch(c.Residents[lo:hi]); err != nil {
 			return scaleEntry{}, nil, fmt.Errorf("seed: %w", err)
 		}
 	}
@@ -191,8 +107,8 @@ func runScaleOnce(c scaleCorpus, workers int, filtered bool) (scaleEntry, map[st
 
 	batches := 0
 	start = time.Now() //pdlint:allow nowallclock -- benchmark stopwatch; measures the harness, not engine state
-	for lo := 0; lo+scaleBatchSize <= len(c.arrivals); lo += scaleBatchSize {
-		if err := det.AddBatch(c.arrivals[lo : lo+scaleBatchSize]); err != nil {
+	for lo := 0; lo+scaleBatchSize <= len(c.Arrivals); lo += scaleBatchSize {
+		if err := det.AddBatch(c.Arrivals[lo : lo+scaleBatchSize]); err != nil {
 			return scaleEntry{}, nil, fmt.Errorf("ingest: %w", err)
 		}
 		batches++
@@ -211,7 +127,7 @@ func runScaleOnce(c scaleCorpus, workers int, filtered bool) (scaleEntry, map[st
 	st := det.Stats()
 	ingested := batches * scaleBatchSize
 	entry := scaleEntry{
-		Residents:    len(c.residents),
+		Residents:    len(c.Residents),
 		Workers:      workers,
 		PreFilter:    filtered,
 		SeedNs:       seedNs,
@@ -258,7 +174,7 @@ func runBenchScale(path string, sizes []int, workerSweep []int, seed int64, batc
 				batches = 4
 			}
 		}
-		c := genScaleCorpus(n, batches*scaleBatchSize, seed)
+		c := dataset.Skewed(n, batches*scaleBatchSize, seed)
 		for _, w := range workerSweep {
 			var (
 				perBatch [2]int64

@@ -9,52 +9,6 @@ import (
 	"probdedup"
 )
 
-// TestGenScaleCorpusShape pins the corpus generator: deterministic
-// under a seed, skewed block layout, and a duplicate fraction that
-// actually produces near-identical neighbors.
-func TestGenScaleCorpusShape(t *testing.T) {
-	c := genScaleCorpus(800, 256, 7)
-	if len(c.residents) != 800 || len(c.arrivals) != 256 {
-		t.Fatalf("sizes: %d residents, %d arrivals", len(c.residents), len(c.arrivals))
-	}
-	if len(c.schema) != 3 {
-		t.Fatalf("schema %v", c.schema)
-	}
-	blocks := map[string]int{}
-	for _, x := range c.residents {
-		blocks[x.Alts[0].Values[2].Alternatives()[0].Value.S()]++
-	}
-	hot, cold := 0, 0
-	for b, n := range blocks {
-		switch b[0] {
-		case 'h':
-			hot += n
-		case 'c':
-			cold += n
-		default:
-			t.Fatalf("unexpected block %q", b)
-		}
-	}
-	if hot != 400 || cold != 400 {
-		t.Fatalf("hot=%d cold=%d, want an even split", hot, cold)
-	}
-	// Arrivals target hot blocks only.
-	for _, x := range c.arrivals {
-		if b := x.Alts[0].Values[2].Alternatives()[0].Value.S(); b[0] != 'h' {
-			t.Fatalf("arrival in non-hot block %q", b)
-		}
-	}
-	// Determinism: the same seed regenerates the same corpus.
-	c2 := genScaleCorpus(800, 256, 7)
-	for i := range c.residents {
-		a, b := c.residents[i], c2.residents[i]
-		if a.ID != b.ID || len(a.Alts) != len(b.Alts) ||
-			a.Alts[0].Values[0].Alternatives()[0].Value.S() != b.Alts[0].Values[0].Alternatives()[0].Value.S() {
-			t.Fatalf("corpus not deterministic at resident %d", i)
-		}
-	}
-}
-
 // TestRunBenchScaleSmall runs the whole sweep at a small size and
 // checks the report's structure and the soundness verdict: the
 // filtered run must declare exactly the unfiltered run's pairs.

@@ -18,9 +18,9 @@
 //	       -derive decision -lambda 0.5 -mu 1.0 r3.pdb r4.pdb
 //
 // -stream switches to the streaming engine, which retains no per-pair
-// state: pairs are printed as they are found (unordered when
-// -workers > 1) and the summary follows at the end — use it for large
-// inputs.
+// state: pairs are printed as they are found, in the reduction's
+// enumeration order at any -workers setting, and the summary follows
+// at the end — use it for large inputs.
 //
 // -follow switches to the incremental online engine: after the given
 // files (if any) seed the resident relation, tuples are read from
@@ -97,7 +97,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		altLambda   = fs.Float64("alt-lambda", 0.4, "per-alternative Tλ")
 		altMu       = fs.Float64("alt-mu", 0.7, "per-alternative Tμ")
 		workers     = fs.Int("workers", 1, "parallel matching workers")
-		stream      = fs.Bool("stream", false, "stream results as they are found instead of materializing them (no per-pair state retained; unordered with -workers > 1)")
+		stream      = fs.Bool("stream", false, "stream results as they are found instead of materializing them (no per-pair state retained; same order at any -workers)")
 		follow      = fs.Bool("follow", false, "incremental online mode: seed from FILEs (if any), then read NDJSON tuples from stdin and print match deltas as tuples arrive")
 		integrate   = fs.Bool("integrate", false, "with -follow: fold match deltas into a live entity set and print NDJSON entity deltas (created/merged/split/refused/retired) instead of pair deltas")
 		schemaSpec  = fs.String("schema", "", "comma-separated schema for -follow without a seed file, e.g. 'name,job'")

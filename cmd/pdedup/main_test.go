@@ -121,6 +121,36 @@ func TestRunStream(t *testing.T) {
 	}
 }
 
+// TestRunStreamWorkersByteIdentical pins -stream's output order: on a
+// corpus large enough to fan verification out, the pair lines at
+// -workers 4 are byte-identical to -workers 1.
+func TestRunStreamWorkersByteIdentical(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "u.pdb")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := probdedup.GenerateDataset(probdedup.DefaultDatasetConfig(60, 5)).Union()
+	if err := probdedup.EncodeXRelation(f, u); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	outputs := map[string]string{}
+	for _, workers := range []string{"1", "4"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-stream", "-workers", workers, path}, strings.NewReader(""), &out, &errOut); code != 0 {
+			t.Fatalf("workers=%s exit %d: %s", workers, code, errOut.String())
+		}
+		outputs[workers] = out.String()
+	}
+	if strings.Count(outputs["1"], "\n") < 10 {
+		t.Fatalf("too few pair lines to pin an order:\n%s", outputs["1"])
+	}
+	if outputs["4"] != outputs["1"] {
+		t.Fatalf("-workers 4 output differs from -workers 1:\n%s\nvs\n%s", outputs["4"], outputs["1"])
+	}
+}
+
 func TestRunWorkersAndDerivations(t *testing.T) {
 	r3, r4, _, _ := writeFixtures(t)
 	for _, derive := range []string{"similarity", "decision", "eta", "mpw", "max"} {

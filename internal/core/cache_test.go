@@ -71,8 +71,7 @@ func TestSharedCacheBoundedAndSharedAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats StreamStats
-	if err := eng.runParallel(&stats, func(Match) bool { return true }); err != nil {
+	if _, err := eng.run(func(Match) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if eng.cache == nil {
@@ -103,8 +102,7 @@ func TestSharedCacheBoundedAndSharedAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats2 StreamStats
-	if err := eng2.runParallel(&stats2, func(Match) bool { return true }); err != nil {
+	if _, err := eng2.run(func(Match) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	st2 := eng2.cache.Stats()

@@ -33,14 +33,13 @@ type Options struct {
 	Derivation xmatch.Derivation
 	// Final classifies the derived x-tuple similarity into {M,P,U}.
 	Final decision.Thresholds
-	// Workers parallelizes the matching/decision stage across goroutines
-	// (0 or 1 means sequential). Candidate pairs are streamed to the
-	// workers in batches; reductions that partition their search space
-	// (the blocking variants) are additionally enumerated block by
-	// block in parallel. All workers share one bounded similarity
-	// cache (see CacheCapacity), so they hit each other's memoized
-	// value pairs; comparison functions are deterministic, so results
-	// are identical to a sequential run.
+	// Workers parallelizes the verification step (pre-filter, matching
+	// and decision) across goroutines (0 or 1 means sequential).
+	// Candidate pairs are verified in bounded chunks; small chunks stay
+	// on the caller's goroutine. All workers share one bounded
+	// similarity cache (see CacheCapacity), so they hit each other's
+	// memoized value pairs; comparison functions are deterministic, so
+	// results and emission order are identical to a sequential run.
 	Workers int
 	// CacheCapacity bounds the run's shared similarity cache (memoized
 	// value pairs across all workers): 0 means
@@ -124,8 +123,8 @@ func Detect(xr *pdb.XRelation, opts Options) (*Result, error) {
 }
 
 // DetectWithStats is Detect additionally returning the run's
-// StreamStats — cache counters, pre-filter effectiveness, partition
-// fan-out — without changing the materialized Result.
+// StreamStats — cache counters, pre-filter effectiveness — without
+// changing the materialized Result.
 func DetectWithStats(xr *pdb.XRelation, opts Options) (*Result, StreamStats, error) {
 	res := &Result{
 		Matches:  verify.PairSet{},

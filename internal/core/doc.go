@@ -9,9 +9,12 @@
 // x-tuple whose attribute values stay uncertain).
 //
 // The engine is streaming at its core: candidate pairs are enumerated
-// incrementally by the reduction method (ssr.Streamer), batched through
-// a worker pool, and either emitted through a callback (DetectStream,
-// memory proportional to the relation) or collected into an exact,
+// incrementally by the reduction method (ssr.Streamer) into bounded
+// chunks, each chunk passes the one verification step (verifyAll: the
+// pre-filter, then matching and decision, fanned out across the
+// workers for large chunks), and the verdicts are either emitted in
+// enumeration order through a callback (DetectStream, memory
+// proportional to the relation) or collected into an exact,
 // deterministically ordered Result (Detect).
 //
 // Three entry points share the engine machinery:
@@ -22,8 +25,8 @@
 //   - Detector is the long-lived online engine: tuples arrive (Add,
 //     AddBatch) and leave (Remove), each arrival is compared only
 //     against the candidates produced by incremental index maintenance
-//     (ssr.IncrementalIndex) — large delta batches fan the
-//     verification across Options.Workers, and deltas are emitted
+//     (ssr.IncrementalIndex) — its deltas pass the same verification
+//     step as DetectStream's candidates, and deltas are emitted
 //     outside the internal lock so the callback can re-enter — and
 //     Flush materializes exactly the Result Detect would produce on
 //     the resident relation: the continuous-arrival workload of the

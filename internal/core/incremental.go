@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
@@ -13,15 +12,7 @@ import (
 	"probdedup/internal/prepare"
 	"probdedup/internal/ssr"
 	"probdedup/internal/verify"
-	"probdedup/internal/xmatch"
 )
-
-// minParallelCompares is the delta-batch size below which the online
-// verification phase stays on the caller's goroutine: per-arrival
-// candidate sets (a window, a small block) are cheaper to compare
-// inline than to fan out. Larger batches — AddBatch seeding, big
-// blocks — split across Options.Workers.
-const minParallelCompares = 32
 
 // ErrUnknownID reports a Remove whose tuple ID is not resident.
 // Removing is intentionally not idempotent: a remove-twice or a
@@ -140,12 +131,12 @@ type DetectorStats struct {
 // The detector reuses the batch engine's machinery: one bounded
 // similarity cache (Options.CacheCapacity) shared across the
 // detector's lifetime and all workers, the fold-based comparison
-// kernel, and the configured decision model. Small per-arrival
-// candidate sets are compared inline on the calling goroutine; large
-// delta batches (AddBatch, big blocks) fan the verification across
-// Options.Workers goroutines, mirroring DetectStream's worker pool —
-// state updates and delta emission remain sequential and
-// deterministic either way.
+// kernel, and the configured decision model. Index deltas pass the
+// same verification step as DetectStream's candidates: small
+// per-arrival candidate sets are compared inline on the calling
+// goroutine, large delta batches (AddBatch, big blocks) fan out across
+// Options.Workers goroutines — state updates and delta emission remain
+// sequential and deterministic either way.
 //
 // Unlike DetectStream, the detector retains per-pair state (the
 // current classified set) so it can retract decisions on Remove and
@@ -179,15 +170,11 @@ type Detector struct {
 	compared   int
 	dropped    int
 
-	// comparers is the lazily grown per-worker comparer pool: the
-	// fold scratch is not shareable, while every matcher memoizes
-	// into the engine's one bounded cache. comparers[0] serves the
-	// inline path. Guarded by mu.
-	comparers []*xmatch.Comparer
-
-	// deltaBuf is reusable scratch for collecting one operation's
-	// index deltas. Guarded by mu.
-	deltaBuf []ssr.PairDelta
+	// deltaBuf, pairBuf and verdictBuf are reusable scratch for one
+	// operation's index deltas and their verification. Guarded by mu.
+	deltaBuf   []ssr.PairDelta
+	pairBuf    []verify.Pair
+	verdictBuf []verdict
 
 	// emits buffers deltas in state-change order while mu is held and
 	// delivers them strictly outside it, so the callback can re-enter
@@ -217,15 +204,14 @@ func NewDetector(schema []string, opts Options, emit func(MatchDelta) bool) (*De
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Detector{
-		eng:       eng,
-		idx:       idx,
-		std:       opts.Standardizer,
-		live:      map[verify.Pair]Match{},
-		pairsOf:   map[string]map[verify.Pair]struct{}{},
-		posOf:     map[string]int{},
-		seqOf:     map[string]uint64{},
-		comparers: []*xmatch.Comparer{eng.newComparer()},
-		emits:     NewEmitQueue(emit),
+		eng:     eng,
+		idx:     idx,
+		std:     opts.Standardizer,
+		live:    map[verify.Pair]Match{},
+		pairsOf: map[string]map[verify.Pair]struct{}{},
+		posOf:   map[string]int{},
+		seqOf:   map[string]uint64{},
+		emits:   NewEmitQueue(emit),
 	}, nil
 }
 
@@ -444,113 +430,63 @@ func (d *Detector) removeLocked(id string) error {
 }
 
 // applyDeltas folds index deltas into the classified set: dropped
-// pairs are retracted, net-new pairs are compared and recorded, and
+// pairs are retracted, net-new pairs are verified and recorded, and
 // every resulting MatchDelta is enqueued for emission — all in delta
 // order, so the delivered stream is deterministic for a given delta
-// sequence. Large batches fan the comparisons across the engine's
-// workers first (compareAll); state updates are always applied
-// sequentially on the caller's goroutine. On a comparison error the
-// deltas preceding the failing one stay applied and its position in
-// deltas is returned.
+// sequence. Each bounded chunk of deltas first verifies its additions
+// that are not live (verifyAll, across the engine's workers when the
+// chunk is large); state updates then apply sequentially on the
+// caller's goroutine. Per pair, deltas alternate add/drop (the
+// IncrementalIndex contract), so an addition not live at the chunk
+// start is still not live at its apply point, and an addition live
+// at the chunk start needs no comparison unless an earlier drop in
+// the chunk retracted it — that re-add is verified inline when
+// reached. On a comparison error the deltas preceding the failing one
+// stay applied and its position in deltas is returned.
 func (d *Detector) applyDeltas(deltas []ssr.PairDelta) (int, error) {
-	// Gate on the addition count, not the delta count: a high-degree
-	// Remove yields many drops and no comparison work, which the
-	// inline loop handles with plain map operations.
-	adds := 0
-	for _, pd := range deltas {
-		if !pd.Dropped {
-			adds++
-		}
-	}
-	if d.eng.workers <= 1 || adds < minParallelCompares {
-		c := d.comparers[0]
-		for i, pd := range deltas {
-			if err := d.applyOne(c, pd); err != nil {
-				return i, err
+	for lo := 0; lo < len(deltas); lo += verifyChunk {
+		chunk := deltas[lo:min(lo+verifyChunk, len(deltas))]
+		pairs := d.pairBuf[:0]
+		for _, pd := range chunk {
+			if pd.Dropped {
+				continue
+			}
+			if _, live := d.live[pd.Pair]; !live {
+				pairs = append(pairs, pd.Pair)
 			}
 		}
-		return 0, nil
-	}
+		d.pairBuf = pairs
+		if cap(d.verdictBuf) < len(pairs) {
+			d.verdictBuf = make([]verdict, len(pairs))
+		}
+		verdicts := d.verdictBuf[:len(pairs)]
+		d.eng.verifyAll(pairs, verdicts)
 
-	// Parallel verification phase: collect the additions that need a
-	// comparison — drops and pairs live at their apply point (values
-	// are immutable while resident) don't. Liveness is projected
-	// through the slice rather than read from d.live alone, so a
-	// drop-then-re-add of one pair within a single delta sequence (a
-	// user-defined IncrementalMethod may yield one; the built-in
-	// indexes and InsertBatch never repeat a pair) is re-compared
-	// exactly as the sequential path would.
-	var compareIdx []int
-	overlay := map[verify.Pair]bool{}
-	projectedLive := func(p verify.Pair) bool {
-		if live, ok := overlay[p]; ok {
-			return live
+		next := 0
+		for i, pd := range chunk {
+			var v verdict
+			switch {
+			case pd.Dropped:
+				d.retractPair(pd.Pair)
+				continue
+			case next < len(pairs) && pairs[next] == pd.Pair:
+				v = verdicts[next]
+				next++
+			default:
+				if _, live := d.live[pd.Pair]; live {
+					continue // values are immutable while resident
+				}
+				v = d.eng.verifyOne(d.eng.comparers[0], pd.Pair)
+			}
+			if v.err != nil {
+				return lo + i, v.err
+			}
+			if !v.filtered {
+				d.recordMatch(pd.Pair, v.m)
+			}
 		}
-		_, ok := d.live[p]
-		return ok
-	}
-	for i, pd := range deltas {
-		if pd.Dropped {
-			overlay[pd.Pair] = false
-			continue
-		}
-		if projectedLive(pd.Pair) {
-			continue
-		}
-		if d.eng.filter != nil && !d.eng.filter.Admit(pd.Pair) {
-			// Provably class U: never verified, never live. The overlay
-			// stays false so a repeated add of the pair in the same
-			// sequence re-consults the filter, exactly like the inline
-			// path would.
-			continue
-		}
-		overlay[pd.Pair] = true
-		compareIdx = append(compareIdx, i)
-	}
-	matches := make([]Match, len(compareIdx))
-	errs := make([]error, len(compareIdx))
-	d.compareAll(compareIdx, deltas, matches, errs)
-
-	// Sequential apply-and-enqueue phase, in delta order.
-	mi := 0
-	for i, pd := range deltas {
-		if pd.Dropped {
-			d.retractPair(pd.Pair)
-			continue
-		}
-		if mi >= len(compareIdx) || compareIdx[mi] != i {
-			continue // already live, nothing to recompute
-		}
-		if errs[mi] != nil {
-			return i, errs[mi]
-		}
-		d.recordMatch(pd.Pair, matches[mi])
-		mi++
 	}
 	return 0, nil
-}
-
-// applyOne folds a single delta inline: the sequential counterpart of
-// the parallel phases in applyDeltas.
-func (d *Detector) applyOne(c *xmatch.Comparer, pd ssr.PairDelta) error {
-	if pd.Dropped {
-		d.retractPair(pd.Pair)
-		return nil
-	}
-	if _, ok := d.live[pd.Pair]; ok {
-		// Already live (values are immutable while resident), nothing
-		// to recompute.
-		return nil
-	}
-	if d.eng.filter != nil && !d.eng.filter.Admit(pd.Pair) {
-		return nil // provably class U: skip verification
-	}
-	m, err := d.eng.compare(c, pd.Pair)
-	if err != nil {
-		return err
-	}
-	d.recordMatch(pd.Pair, m)
-	return nil
 }
 
 // recordMatch applies one freshly compared pair to the live state and
@@ -561,39 +497,6 @@ func (d *Detector) recordMatch(p verify.Pair, m Match) {
 	d.indexPair(p.A, p)
 	d.indexPair(p.B, p)
 	d.enqueueDelta(MatchDelta{Kind: DeltaAdd, Match: m})
-}
-
-// compareAll computes the match of deltas[compareIdx[j]] into
-// matches[j] (or errs[j]), fanning the work across the engine's
-// workers. Each worker owns a pooled comparer (the fold scratch is
-// not shareable) while all matchers memoize into the shared bounded
-// cache; comparison functions are deterministic, so the results are
-// identical to an inline run. Work is handed out pair by pair via an
-// atomic cursor so uneven comparison costs still balance.
-func (d *Detector) compareAll(compareIdx []int, deltas []ssr.PairDelta, matches []Match, errs []error) {
-	workers := d.eng.workers
-	if workers > len(compareIdx) {
-		workers = len(compareIdx)
-	}
-	for len(d.comparers) < workers {
-		d.comparers = append(d.comparers, d.eng.newComparer())
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(c *xmatch.Comparer) {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(compareIdx) {
-					return
-				}
-				matches[j], errs[j] = d.eng.compare(c, deltas[compareIdx[j]].Pair)
-			}
-		}(d.comparers[w])
-	}
-	wg.Wait()
 }
 
 // indexPair records a live pair under one member tuple.

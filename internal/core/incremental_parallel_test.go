@@ -382,31 +382,50 @@ func TestDetectorConcurrentCallers(t *testing.T) {
 // exists, prefixes every later insertion's deltas with a
 // drop-then-re-add of that pair. That sequence is legal under the
 // IncrementalIndex contract (the maintained set ends up identical —
-// deltas per pair alternate) and is exactly the shape the parallel
-// verification phase must not mishandle: the re-add needs a
-// comparison because the pair is retracted by the time it applies,
-// even though it is live when the batch is collected.
+// deltas per pair alternate) and is exactly the shape the chunked
+// verification must not mishandle: the re-add needs a comparison
+// because the pair is retracted by the time it applies, even though
+// it is live when the chunk is collected. With split set, the churn
+// is stretched (one inner delta, then drop/re-add rounds) so that the
+// final drop is the last delta of the first verification chunk and
+// the re-add the first delta of the second.
 type churnyIndex struct {
 	inner ssr.IncrementalIndex
 	first *verify.Pair
+	split bool
+	// splitSeen records that a split insertion put the drop and the
+	// re-add on either side of a chunk boundary.
+	splitSeen bool
 }
 
 func (c *churnyIndex) Insert(x *pdb.XTuple, yield func(ssr.PairDelta) bool) bool {
-	if c.first != nil {
-		if !yield(ssr.PairDelta{Pair: *c.first, Dropped: true}) {
-			return false
-		}
-		if !yield(ssr.PairDelta{Pair: *c.first}) {
-			return false
-		}
-	}
-	return c.inner.Insert(x, func(pd ssr.PairDelta) bool {
+	first := c.first
+	var inner, out []ssr.PairDelta
+	c.inner.Insert(x, func(pd ssr.PairDelta) bool {
 		if c.first == nil && !pd.Dropped {
 			p := pd.Pair
 			c.first = &p
 		}
-		return yield(pd)
+		inner = append(inner, pd)
+		return true
 	})
+	if first != nil {
+		churn := []ssr.PairDelta{{Pair: *first, Dropped: true}, {Pair: *first}}
+		if c.split && len(inner) > 0 {
+			out, inner = append(out, inner[0]), inner[1:]
+			for len(out) < verifyChunk-1 {
+				out = append(out, churn...)
+			}
+			c.splitSeen = c.splitSeen || len(out) == verifyChunk-1
+		}
+		out = append(out, churn...)
+	}
+	for _, pd := range append(out, inner...) {
+		if !yield(pd) {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *churnyIndex) Remove(id string, yield func(ssr.PairDelta) bool) bool {
@@ -417,48 +436,59 @@ func (c *churnyIndex) Len() int { return c.inner.Len() }
 
 // churnyMethod is a user-defined IncrementalMethod built on the cross
 // product.
-type churnyMethod struct{ ssr.CrossProduct }
+type churnyMethod struct {
+	ssr.CrossProduct
+	split bool
+}
 
-func (churnyMethod) Incremental() (ssr.IncrementalIndex, error) {
+func (m churnyMethod) Incremental() (ssr.IncrementalIndex, error) {
 	inner, err := ssr.CrossProduct{}.Incremental()
 	if err != nil {
 		return nil, err
 	}
-	return &churnyIndex{inner: inner}, nil
+	return &churnyIndex{inner: inner, split: m.split}, nil
 }
 
 // TestDetectorParallelDropReAddDelta is the regression test for the
-// parallel verification phase against a user-defined index that
-// drops and re-adds one pair within a single delta sequence: the
-// classified state must be identical at Workers 1 and 4 (the
-// sequential path re-compares the re-added pair; the parallel path
-// must project liveness through the slice to reach the same answer),
-// and the churned pair must survive.
+// chunked verification against a user-defined index that drops and
+// re-adds one pair within a single delta sequence — inside one apply
+// chunk, and (split) across a chunk boundary: the classified state
+// must be identical at Workers 1 and 4 (the re-added pair is
+// re-compared either way), and the churned pair must survive.
 func TestDetectorParallelDropReAddDelta(t *testing.T) {
 	u := shuffledUnion(t, 25, 31)
-	results := map[int]*Result{}
-	for _, workers := range []int{1, 4} {
-		opts := incrementalOpts(churnyMethod{})
-		opts.Workers = workers
-		det, err := NewDetector(u.Schema, opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Single Adds: later insertions each yield enough cross-product
-		// deltas (plus the churn prefix) to cross the inline threshold,
-		// so the Workers=4 run exercises the parallel path.
-		for _, x := range u.Tuples {
-			if err := det.Add(x); err != nil {
+	var want *Result
+	for _, split := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			opts := incrementalOpts(churnyMethod{split: split})
+			opts.Workers = workers
+			det, err := NewDetector(u.Schema, opts, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			// Single Adds: later insertions each yield enough cross-product
+			// deltas (plus the churn prefix) to cross the inline threshold,
+			// so the Workers=4 run exercises the parallel path.
+			for _, x := range u.Tuples {
+				if err := det.Add(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if split && !det.idx.(*churnyIndex).splitSeen {
+				t.Fatalf("workers=%d: no insertion split the drop and the re-add across chunks", workers)
+			}
+			got := det.Flush()
+			if want == nil {
+				want = got
+				if len(want.Compared) != ssr.TotalPairs(len(u.Tuples)) {
+					t.Fatalf("sequential run holds %d pairs, want the full cross product %d",
+						len(want.Compared), ssr.TotalPairs(len(u.Tuples)))
+				}
+				continue
+			}
+			sameResult(t, got, want)
 		}
-		results[workers] = det.Flush()
 	}
-	if len(results[1].Compared) != ssr.TotalPairs(len(u.Tuples)) {
-		t.Fatalf("sequential run holds %d pairs, want the full cross product %d",
-			len(results[1].Compared), ssr.TotalPairs(len(u.Tuples)))
-	}
-	sameResult(t, results[4], results[1])
 }
 
 // TestDetectorWorkersDoNotChangeDeltaStream checks the documented

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
@@ -15,11 +16,6 @@ import (
 	"probdedup/internal/xmatch"
 )
 
-// streamBatchSize is the number of candidate pairs per unit of work
-// handed to the matching workers. Batching amortizes channel traffic;
-// the value trades scheduling overhead against load-balancing grain.
-const streamBatchSize = 128
-
 // StreamStats summarizes a DetectStream run.
 type StreamStats struct {
 	// Compared counts the candidate pairs emitted.
@@ -29,10 +25,6 @@ type StreamStats struct {
 	// TotalPairs is the unreduced search-space size n(n-1)/2, computed
 	// arithmetically — the full cross product is never materialized.
 	TotalPairs int
-	// Partitions is the number of independent blocks fanned out when
-	// the reduction partitions its search space and the run is
-	// parallel; 0 otherwise.
-	Partitions int
 	// Stopped reports that the emit callback ended the run early.
 	Stopped bool
 	// Cache holds the end-of-run counters of the shared similarity
@@ -40,8 +32,9 @@ type StreamStats struct {
 	// when memoization was disabled via Options.CacheCapacity < 0).
 	Cache avm.CacheStats
 	// Enumerated counts the candidate pairs the reduction produced:
-	// Compared plus Filtered (pairs the run did not reach after an
-	// early stop are not counted).
+	// Compared plus Filtered. Pairs past an early stop or an error are
+	// not counted, even when they were verified ahead in their chunk,
+	// so the counters are identical at every worker count.
 	Enumerated int
 	// Filtered counts the enumerated pairs the pre-filter rejected as
 	// provable non-matches (0 when the filter is off or inert).
@@ -60,6 +53,9 @@ type engine struct {
 	reduction   ssr.Method
 	newComparer func() *xmatch.Comparer
 	workers     int
+	// comparers is the lazily grown per-worker comparer pool of
+	// verifyAll; comparers[0] serves the inline path.
+	comparers []*xmatch.Comparer
 	// cache is the run's shared similarity memo (nil when disabled);
 	// every worker's matcher writes into and reads from it.
 	cache *avm.Cache
@@ -190,7 +186,7 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 		}
 	}
 
-	return &engine{
+	eng := &engine{
 		xr:        xr,
 		byID:      byID,
 		reduction: reduction,
@@ -208,41 +204,104 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 				Final:    opts.Final,
 			}
 		},
-	}, nil
+	}
+	eng.comparers = []*xmatch.Comparer{eng.newComparer()}
+	return eng, nil
 }
 
-// compare matches one candidate pair, or fails when the pair references
-// tuples outside the relation.
-func (e *engine) compare(c *xmatch.Comparer, p verify.Pair) (Match, error) {
+// verifyChunk bounds the candidate pairs (DetectStream) and the index
+// deltas (Detector) verified as one unit: large enough to amortize the
+// worker fan-out, small enough that the per-chunk verdicts stay a
+// fixed, modest buffer.
+const verifyChunk = 1024
+
+// minParallelCompares is the chunk size below which verifyAll stays on
+// the caller's goroutine: per-arrival candidate sets (a window, a
+// small block) are cheaper to verify inline than to fan out.
+const minParallelCompares = 32
+
+// verdict is the verification outcome of one candidate pair: filtered
+// out as a provable non-match, compared into a Match, or failed.
+type verdict struct {
+	m        Match
+	err      error
+	filtered bool
+}
+
+// verifyOne runs the verification step on one candidate pair: the
+// pre-filter, then attribute value matching, x-tuple derivation and
+// the decision. It fails when the pair references tuples outside the
+// relation.
+func (e *engine) verifyOne(c *xmatch.Comparer, p verify.Pair) verdict {
+	if e.filter != nil && !e.filter.Admit(p) {
+		return verdict{filtered: true} // provably class U
+	}
 	x1, ok1 := e.byID[p.A]
 	x2, ok2 := e.byID[p.B]
 	if !ok1 || !ok2 {
-		return Match{}, fmt.Errorf("core: candidate pair %v references unknown tuples", p)
+		return verdict{err: fmt.Errorf("core: candidate pair %v references unknown tuples", p)}
 	}
 	r := c.Compare(x1, x2)
-	return Match{Pair: p, Sim: r.Sim, Class: r.Class}, nil
+	return verdict{m: Match{Pair: p, Sim: r.Sim, Class: r.Class}}
+}
+
+// verifyAll computes out[i] for pairs[i] — the one verification step
+// of batch and online detection. Chunks of at least
+// minParallelCompares pairs fan out across the engine's workers,
+// handed out pair by pair via an atomic cursor so uneven comparison
+// costs still balance; smaller chunks run on the caller's goroutine.
+// Each worker owns a pooled comparer (the fold scratch is not
+// shareable) while every matcher memoizes into the shared bounded
+// cache; comparison functions are deterministic, so the verdicts are
+// identical at any worker count. Callers serialize their verifyAll
+// calls, and the relation and the pre-filter stay unchanged while one
+// runs.
+func (e *engine) verifyAll(pairs []verify.Pair, out []verdict) {
+	workers := min(e.workers, len(pairs))
+	if workers <= 1 || len(pairs) < minParallelCompares {
+		c := e.comparers[0]
+		for i, p := range pairs {
+			out[i] = e.verifyOne(c, p)
+		}
+		return
+	}
+	for len(e.comparers) < workers {
+		e.comparers = append(e.comparers, e.newComparer())
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, c := range e.comparers[:workers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(pairs) {
+					return
+				}
+				out[i] = e.verifyOne(c, pairs[i])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // DetectStream runs the pipeline over an x-relation and emits each
 // compared pair's Match through the callback, without retaining the
 // candidate set or the results: candidate pairs are enumerated
-// incrementally (see ssr.Streamer), batched through the worker pool,
-// and discarded after emission. The engine itself holds no per-pair
-// state, so with the blocking variants, cross product, SNMCertain,
-// SNMRanked and pruning, memory stays proportional to the relation;
-// SNMMultiPass and SNMAlternatives additionally keep their
-// executed-matching set while enumerating, and reduction methods
-// without streaming support are adapted by materializing their
-// candidate set once.
+// incrementally (see ssr.Streamer) into a bounded chunk, the chunk is
+// verified across the worker pool, and its matches are emitted and
+// discarded. The engine itself holds no per-pair state, so with the
+// blocking variants, cross product, SNMCertain, SNMRanked and
+// pruning, memory stays proportional to the relation; SNMMultiPass
+// and SNMAlternatives additionally keep their executed-matching set
+// while enumerating, and reduction methods without streaming support
+// are adapted by materializing their candidate set once.
 //
-// emit is always called sequentially from the caller's goroutine; it
-// returns false to stop the run early (Stopped is then set in the
-// stats). With Options.Workers > 1 the emission order is unspecified;
-// a sequential run emits in the reduction method's enumeration order.
-// Classifications are identical to Detect in either case. When the
-// reduction partitions its search space (the blocking variants), a
-// parallel run fans out block by block so partitions are enumerated
-// and compared concurrently.
+// emit is always called sequentially from the caller's goroutine, in
+// the reduction method's enumeration order at any Options.Workers
+// setting; it returns false to stop the run early (Stopped is then
+// set in the stats). Classifications are identical to Detect.
 //
 // On error the already-emitted matches stand, the stats cover the work
 // done so far, and the error is returned.
@@ -251,20 +310,53 @@ func DetectStream(xr *pdb.XRelation, opts Options, emit func(Match) bool) (Strea
 	if err != nil {
 		return StreamStats{}, err
 	}
-	stats := StreamStats{TotalPairs: ssr.TotalPairs(len(eng.xr.Tuples))}
-	if eng.workers <= 1 {
-		err = eng.runSequential(&stats, emit)
-	} else {
-		err = eng.runParallel(&stats, emit)
+	return eng.run(emit)
+}
+
+// run streams the engine's candidate pairs through verifyAll chunk by
+// chunk and emits each chunk in enumeration order. The counters are
+// taken from the emitted verdicts, so pairs verified ahead of an early
+// stop or an error are not counted.
+func (e *engine) run(emit func(Match) bool) (StreamStats, error) {
+	stats := StreamStats{
+		TotalPairs:   ssr.TotalPairs(len(e.xr.Tuples)),
+		FilterActive: e.filter != nil,
 	}
-	if eng.cache != nil {
-		stats.Cache = eng.cache.Stats()
+	pairs := make([]verify.Pair, 0, verifyChunk)
+	verdicts := make([]verdict, verifyChunk)
+	var err error
+	// flush verifies and emits the buffered chunk; false ends the run.
+	flush := func() bool {
+		out := verdicts[:len(pairs)]
+		e.verifyAll(pairs, out)
+		pairs = pairs[:0]
+		for _, v := range out {
+			switch {
+			case v.err != nil:
+				err = v.err
+				return false
+			case v.filtered:
+				stats.Filtered++
+				continue
+			}
+			stats.count(v.m)
+			if !emit(v.m) {
+				stats.Stopped = true
+				return false
+			}
+		}
+		return true
 	}
-	if eng.filter != nil {
-		stats.FilterActive = true
-		stats.Filtered = int(eng.filter.Stats().Filtered)
+	if ssr.StreamOf(e.reduction).EnumeratePairs(e.xr, func(p verify.Pair) bool {
+		pairs = append(pairs, p)
+		return len(pairs) < verifyChunk || flush()
+	}) {
+		flush()
 	}
 	stats.Enumerated = stats.Compared + stats.Filtered
+	if e.cache != nil {
+		stats.Cache = e.cache.Stats()
+	}
 	return stats, err
 }
 
@@ -277,180 +369,4 @@ func (s *StreamStats) count(m Match) {
 	case decision.P:
 		s.Possible++
 	}
-}
-
-// runSequential streams candidates straight through one comparer on
-// the caller's goroutine.
-func (e *engine) runSequential(stats *StreamStats, emit func(Match) bool) error {
-	comparer := e.newComparer()
-	var err error
-	ssr.StreamOf(e.reduction).EnumeratePairs(e.xr, func(p verify.Pair) bool {
-		if e.filter != nil && !e.filter.Admit(p) {
-			return true // provably class U: skip verification
-		}
-		var m Match
-		if m, err = e.compare(comparer, p); err != nil {
-			return false
-		}
-		stats.count(m)
-		if !emit(m) {
-			stats.Stopped = true
-			return false
-		}
-		return true
-	})
-	return err
-}
-
-// runParallel builds the batched pipeline: producers enumerate
-// candidate pairs (one per partition for partitioned reductions),
-// workers match-and-decide batches, and the caller's goroutine
-// collects results and emits them.
-func (e *engine) runParallel(stats *StreamStats, emit func(Match) bool) error {
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-
-	batches := make(chan []verify.Pair, 2*e.workers)
-	results := make(chan []Match, 2*e.workers)
-
-	// sendBatch hands a full batch to the workers unless the run was
-	// canceled; it reports whether production should continue.
-	sendBatch := func(batch []verify.Pair) bool {
-		select {
-		case batches <- batch:
-			return true
-		case <-stop:
-			return false
-		}
-	}
-
-	// Producers: partition fan-out when the reduction supports it, a
-	// single enumerator otherwise.
-	var prodWg sync.WaitGroup
-	produce := func(enumerate func(yield func(verify.Pair) bool) bool) {
-		defer prodWg.Done()
-		batch := make([]verify.Pair, 0, streamBatchSize)
-		enumerate(func(p verify.Pair) bool {
-			// Filter at the producer: rejected pairs never enter a
-			// batch, so workers and channels only see pairs that need
-			// real verification (Admit is safe for concurrent use).
-			if e.filter != nil && !e.filter.Admit(p) {
-				return true
-			}
-			batch = append(batch, p)
-			if len(batch) == streamBatchSize {
-				if !sendBatch(batch) {
-					return false
-				}
-				batch = make([]verify.Pair, 0, streamBatchSize)
-			}
-			return true
-		})
-		if len(batch) > 0 {
-			sendBatch(batch)
-		}
-	}
-	if part, ok := e.reduction.(ssr.Partitioner); ok {
-		parts := part.Partitions(e.xr)
-		stats.Partitions = len(parts)
-		partCh := make(chan ssr.Partition, len(parts))
-		for _, p := range parts {
-			partCh <- p
-		}
-		close(partCh)
-		producers := e.workers
-		if producers > len(parts) {
-			producers = len(parts)
-		}
-		for i := 0; i < producers; i++ {
-			prodWg.Add(1)
-			go produce(func(yield func(verify.Pair) bool) bool {
-				for p := range partCh {
-					if !p.Enumerate(yield) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-	} else {
-		prodWg.Add(1)
-		stream := ssr.StreamOf(e.reduction)
-		go produce(func(yield func(verify.Pair) bool) bool {
-			return stream.EnumeratePairs(e.xr, yield)
-		})
-	}
-	go func() {
-		prodWg.Wait()
-		close(batches)
-	}()
-
-	// Workers: match and decide batches; each worker owns its comparer
-	// (the fold scratch is not shareable) while all matchers memoize
-	// into the engine's shared cache. Comparison functions are
-	// deterministic, so results are identical to a sequential run.
-	var workWg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		workWg.Add(1)
-		go func() {
-			defer workWg.Done()
-			comparer := e.newComparer()
-			for batch := range batches {
-				out := make([]Match, 0, len(batch))
-				for _, p := range batch {
-					m, err := e.compare(comparer, p)
-					if err != nil {
-						fail(err)
-						return
-					}
-					out = append(out, m)
-				}
-				select {
-				case results <- out:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		workWg.Wait()
-		close(results)
-	}()
-
-	// Collector: the caller's goroutine emits sequentially. After an
-	// error or an early stop the remaining results are drained so the
-	// pipeline goroutines can exit.
-	for out := range results {
-		if stats.Stopped || failed() {
-			continue
-		}
-		for _, m := range out {
-			stats.count(m)
-			if !emit(m) {
-				stats.Stopped = true
-				cancel()
-				break
-			}
-		}
-	}
-	prodWg.Wait()
-	return firstErr
 }

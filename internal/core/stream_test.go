@@ -78,22 +78,8 @@ func assertSameResults(t *testing.T, res *Result, got map[verify.Pair]Match, sta
 // satellite requirement together with TestParallelDetectMatchesSequential,
 // exercised under -race in CI.
 func TestDetectStreamMatchesDetect(t *testing.T) {
-	d := dataset.Generate(dataset.DefaultConfig(50, 23))
-	u := d.Union()
-	def, err := keys.ParseDef("name:3+job:2", u.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reductions := map[string]ssr.Method{
-		"cross-product":         nil,
-		"snm-ranked":            ssr.SNMRanked{Key: def, Window: 5},
-		"snm-alternatives":      ssr.SNMAlternatives{Key: def, Window: 5},
-		"blocking-certain":      ssr.BlockingCertain{Key: def},
-		"blocking-alternatives": ssr.BlockingAlternatives{Key: def},
-		"blocking-cluster":      ssr.BlockingCluster{Key: def, K: 8, Seed: 1},
-		"adapter-only":          firstLastMethod{},
-	}
-	for name, red := range reductions {
+	u := dataset.Generate(dataset.DefaultConfig(50, 23)).Union()
+	for name, red := range streamReductions(t, u.Schema) {
 		opts := streamOptions()
 		opts.Reduction = red
 		seq, err := Detect(u, opts)
@@ -121,6 +107,60 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 	}
 }
 
+// streamReductions is the reduction table of the streaming tests
+// (nil = cross product).
+func streamReductions(t *testing.T, schema []string) map[string]ssr.Method {
+	t.Helper()
+	def, err := keys.ParseDef("name:3+job:2", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]ssr.Method{
+		"cross-product":         nil,
+		"snm-ranked":            ssr.SNMRanked{Key: def, Window: 5},
+		"snm-alternatives":      ssr.SNMAlternatives{Key: def, Window: 5},
+		"blocking-certain":      ssr.BlockingCertain{Key: def},
+		"blocking-alternatives": ssr.BlockingAlternatives{Key: def},
+		"blocking-cluster":      ssr.BlockingCluster{Key: def, K: 8, Seed: 1},
+		"adapter-only":          firstLastMethod{},
+	}
+}
+
+// TestDetectStreamOrderIndependentOfWorkers pins the emission order:
+// for every reduction, DetectStream emits the identical Match sequence
+// at Workers 1, 2 and 4 — the reduction's enumeration order — so a
+// parallel run is byte-for-byte reproducible.
+func TestDetectStreamOrderIndependentOfWorkers(t *testing.T) {
+	u := dataset.Generate(dataset.DefaultConfig(50, 23)).Union()
+	for name, red := range streamReductions(t, u.Schema) {
+		var want []Match
+		for _, workers := range []int{1, 2, 4} {
+			opts := streamOptions()
+			opts.Reduction = red
+			opts.Workers = workers
+			var got []Match
+			if _, err := DetectStream(u, opts, func(m Match) bool {
+				got = append(got, m)
+				return true
+			}); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if workers == 1 {
+				want = got
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: emitted %d matches, workers=1 emitted %d", name, workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s workers=%d: match %d is %+v, workers=1 emitted %+v", name, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // firstLastMethod is a Method without a Streamer implementation; it
 // forces the StreamOf adapter path through the engine.
 type firstLastMethod struct{}
@@ -136,9 +176,9 @@ func (firstLastMethod) Candidates(xr *pdb.XRelation) verify.PairSet {
 }
 
 // TestDetectStreamLargeBlocking is the scale acceptance check: a
-// ≥10k-tuple relation streams through a blocking reduction with
-// per-block fan-out and classifies exactly like Detect, while the
-// engine never builds the global candidate pair set.
+// ≥10k-tuple relation streams through a blocking reduction across
+// eight workers and classifies exactly like Detect, while the engine
+// never builds the global candidate pair set.
 func TestDetectStreamLargeBlocking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large corpus")
@@ -170,9 +210,6 @@ func TestDetectStreamLargeBlocking(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats.Partitions < 2 {
-		t.Fatalf("expected block fan-out, got %d partitions", stats.Partitions)
 	}
 	if want := ssr.TotalPairs(len(u.Tuples)); stats.TotalPairs != want {
 		t.Fatalf("TotalPairs %d, want %d", stats.TotalPairs, want)
@@ -220,6 +257,42 @@ func TestDetectStreamEarlyStop(t *testing.T) {
 		}
 		if emitted != 10 || stats.Compared != 10 {
 			t.Fatalf("workers=%d: emitted %d, stats.Compared %d, want 10", workers, emitted, stats.Compared)
+		}
+	}
+}
+
+// TestDetectStreamEarlyStopCountsExact pins the early-stop counters
+// with the pre-filter on: pairs verified ahead of the stop point are
+// not counted, so Compared, Filtered and Enumerated are identical at
+// Workers 1 and 4.
+func TestDetectStreamEarlyStopCountsExact(t *testing.T) {
+	u := dataset.Generate(dataset.DefaultConfig(50, 23)).Union()
+	var want StreamStats
+	for _, workers := range []int{1, 4} {
+		opts := incrementalOpts(nil)
+		opts.PreFilter = true
+		opts.Workers = workers
+		emitted := 0
+		stats, err := DetectStream(u, opts, func(Match) bool {
+			emitted++
+			return emitted < 25
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !stats.Stopped || !stats.FilterActive || stats.Filtered == 0 {
+			t.Fatalf("workers=%d: want a filtered early stop, got %+v", workers, stats)
+		}
+		if stats.Enumerated != stats.Compared+stats.Filtered {
+			t.Fatalf("workers=%d: Enumerated %d != Compared %d + Filtered %d", workers, stats.Enumerated, stats.Compared, stats.Filtered)
+		}
+		if workers == 1 {
+			want = stats
+			continue
+		}
+		if stats.Compared != want.Compared || stats.Filtered != want.Filtered || stats.Enumerated != want.Enumerated {
+			t.Fatalf("workers=%d: compared/filtered/enumerated %d/%d/%d, workers=1 %d/%d/%d", workers,
+				stats.Compared, stats.Filtered, stats.Enumerated, want.Compared, want.Filtered, want.Enumerated)
 		}
 	}
 }

@@ -26,11 +26,11 @@
 // CrossProduct is the no-reduction baseline, and Pruning/Filter add the
 // length-filter heuristic Sec. III-B lists alongside SNM and blocking.
 //
-// Beyond batch Candidates, methods expose two enumeration refinements:
-// every method implements Streamer (candidate pairs one at a time,
-// nothing materialized), and the blocking variants implement
-// Partitioner (independent per-block units the engine fans out
-// concurrently).
+// Beyond batch Candidates, every method implements Streamer: candidate
+// pairs one at a time, in a deterministic enumeration order, nothing
+// materialized (the blocking variants walk their blocks in sorted-key
+// order). StreamOf adapts any other Method by replaying its candidate
+// set in sorted pair order.
 //
 // For continuous arrivals, IncrementalIndex maintains a method's
 // candidate set online: inserting a tuple yields exactly the pairs it

@@ -2,7 +2,6 @@ package ssr
 
 import (
 	"math"
-	"math/rand"
 
 	"probdedup/internal/cluster"
 	"probdedup/internal/pdb"
@@ -102,19 +101,12 @@ func (b *blockingClusterIndex) reseal() {
 			}
 		}
 	}
-	// Re-cluster exactly as the batch Partitions does.
+	// Re-cluster through the batch enumeration's own clustering call.
 	items := make([]cluster.Item, len(b.arrivals))
 	for i, id := range b.arrivals {
 		items[i] = b.items[id]
 	}
-	k := b.method.K
-	if k <= 0 {
-		k = len(items) / 8
-		if k < 2 {
-			k = 2
-		}
-	}
-	c := cluster.UKMeans(items, k, 0, rand.New(rand.NewSource(b.method.Seed)))
+	c := b.method.cluster(items)
 	b.k = c.K
 	b.centroids = c.Centroids
 	b.emb = cluster.NewEmbedding(items)

@@ -33,42 +33,16 @@ type Streamer interface {
 	EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool
 }
 
-// Partition is one independent unit of candidate enumeration: a block
-// whose pairs can be enumerated (and compared) concurrently with every
-// other partition. Partitions of one Partitions() call never yield the
-// same pair twice, so no cross-partition deduplication is needed.
-type Partition struct {
-	// Label identifies the partition (typically the block key).
-	Label string
-	// Size is the number of member tuples.
-	Size int
-	// Enumerate yields the partition's candidate pairs; it returns
-	// false if a yield call stopped the enumeration early.
-	Enumerate func(yield func(verify.Pair) bool) bool
-}
-
-// Partitioner is a Method whose search space decomposes into
-// independent partitions — the blocking variants of Sec. V-B. The
-// detection engine fans out one partition per unit of work so blocks
-// match-and-decide concurrently.
-type Partitioner interface {
-	Method
-	// Partitions splits the candidate space into independent units.
-	// The union of all partitions equals Candidates, without overlap.
-	Partitions(xr *pdb.XRelation) []Partition
-}
-
 // TotalPairs returns the size n(n-1)/2 of the unreduced search space
 // over n tuples, in O(1) — use this instead of len(AllPairs(xr)) when
 // only the count is needed.
 func TotalPairs(n int) int { return n * (n - 1) / 2 }
 
 // StreamOf returns m itself when it already streams, or an adapter
-// that materializes m.Candidates once and replays the set. The adapter
-// keeps arbitrary user-defined Methods usable with the streaming
-// engine; its enumeration order is unspecified. A nil method means no
-// reduction and streams the cross product, mirroring the detection
-// engine's default.
+// that materializes m.Candidates once and replays the set in sorted
+// pair order. The adapter keeps arbitrary user-defined Methods usable
+// with the streaming engine. A nil method means no reduction and
+// streams the cross product, mirroring the detection engine's default.
 func StreamOf(m Method) Streamer {
 	if m == nil {
 		return CrossProduct{}
@@ -82,7 +56,7 @@ func StreamOf(m Method) Streamer {
 type adaptedStreamer struct{ Method }
 
 func (a adaptedStreamer) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
-	for p := range a.Method.Candidates(xr) {
+	for _, p := range a.Method.Candidates(xr).Sorted() {
 		if !yield(p) {
 			return false
 		}
@@ -218,21 +192,6 @@ func (m SNMRanked) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) boo
 }
 
 // EnumeratePairs implements Streamer.
-func (m BlockingCertain) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
-	return enumeratePartitions(m.Partitions(xr), yield)
-}
-
-// EnumeratePairs implements Streamer.
-func (m BlockingAlternatives) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
-	return enumeratePartitions(m.Partitions(xr), yield)
-}
-
-// EnumeratePairs implements Streamer.
-func (m BlockingCluster) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
-	return enumeratePartitions(m.Partitions(xr), yield)
-}
-
-// EnumeratePairs implements Streamer.
 func (p Pruning) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
 	perTuple := p.lengthProfiles(xr)
 	for i := 0; i < len(xr.Tuples); i++ {
@@ -260,60 +219,43 @@ func (f Filter) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) 
 	})
 }
 
-// ---- Partitioner implementations (blocking variants) ----
+// ---- Blocking variants: disjoint blocks walked in sorted-label order ----
 
-// enumeratePartitions streams the partitions sequentially.
-func enumeratePartitions(parts []Partition, yield func(verify.Pair) bool) bool {
-	for _, part := range parts {
-		if !part.Enumerate(yield) {
-			return false
+// sortedBlockLabels returns the labels of the blocks with at least two
+// members — the only ones that yield pairs — in sorted order.
+func sortedBlockLabels(blocks map[string][]string) []string {
+	labels := make([]string, 0, len(blocks))
+	for k, members := range blocks {
+		if len(members) > 1 {
+			labels = append(labels, k)
+		}
+	}
+	sort.Strings(labels)
+	return labels
+}
+
+// enumerateBlocks yields every intra-block pair of disjoint blocks,
+// block by block in sorted-label order.
+func enumerateBlocks(blocks map[string][]string, yield func(verify.Pair) bool) bool {
+	for _, k := range sortedBlockLabels(blocks) {
+		members := blocks[k]
+		for i := 0; i < len(members); i++ {
+			for j := i + 1; j < len(members); j++ {
+				if members[i] != members[j] {
+					if !yield(verify.NewPair(members[i], members[j])) {
+						return false
+					}
+				}
+			}
 		}
 	}
 	return true
 }
 
-// blockPartition builds the partition of one disjoint block: all
-// intra-block pairs.
-func blockPartition(label string, members []string) Partition {
-	return Partition{
-		Label: label,
-		Size:  len(members),
-		Enumerate: func(yield func(verify.Pair) bool) bool {
-			for i := 0; i < len(members); i++ {
-				for j := i + 1; j < len(members); j++ {
-					if members[i] != members[j] {
-						if !yield(verify.NewPair(members[i], members[j])) {
-							return false
-						}
-					}
-				}
-			}
-			return true
-		},
-	}
-}
-
-// disjointPartitions converts a map of disjoint blocks into partitions
-// in deterministic (sorted-label) order, skipping singleton blocks.
-func disjointPartitions(blocks map[string][]string) []Partition {
-	labels := make([]string, 0, len(blocks))
-	for k := range blocks {
-		if len(blocks[k]) > 1 {
-			labels = append(labels, k)
-		}
-	}
-	sort.Strings(labels)
-	parts := make([]Partition, len(labels))
-	for i, k := range labels {
-		parts[i] = blockPartition(k, blocks[k])
-	}
-	return parts
-}
-
-// Partitions implements Partitioner: conflict-resolved keys yield
+// EnumeratePairs implements Streamer: conflict-resolved keys yield
 // disjoint blocks. The keys are computed tuple by tuple, without
 // materializing the resolved relation.
-func (m BlockingCertain) Partitions(xr *pdb.XRelation) []Partition {
+func (m BlockingCertain) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
 	strategy := m.Strategy
 	if strategy == nil {
 		strategy = fusion.MostProbable{}
@@ -323,39 +265,41 @@ func (m BlockingCertain) Partitions(xr *pdb.XRelation) []Partition {
 		k := m.Key.FromValues(strategy.ResolveX(x))
 		blocks[k] = append(blocks[k], x.ID)
 	}
-	return disjointPartitions(blocks)
+	return enumerateBlocks(blocks, yield)
 }
 
-// Partitions implements Partitioner: one block per cluster of the
+// cluster runs UK-means over the uncertain key values of items — the
+// one clustering call of the batch enumeration and the incremental
+// index's epoch reseal. K <= 0 picks n/8 clusters, at least 2.
+func (m BlockingCluster) cluster(items []cluster.Item) cluster.Clustering {
+	k := m.K
+	if k <= 0 {
+		k = max(len(items)/8, 2)
+	}
+	return cluster.UKMeans(items, k, 0, rand.New(rand.NewSource(m.Seed)))
+}
+
+// EnumeratePairs implements Streamer: one block per cluster of the
 // uncertain key values (disjoint by construction).
-func (m BlockingCluster) Partitions(xr *pdb.XRelation) []Partition {
+func (m BlockingCluster) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
 	items := make([]cluster.Item, len(xr.Tuples))
 	for i, x := range xr.Tuples {
 		items[i] = cluster.Item{ID: x.ID, Keys: m.Key.XTupleKeyDist(x, true)}
 	}
-	k := m.K
-	if k <= 0 {
-		k = len(items) / 8
-		if k < 2 {
-			k = 2
-		}
-	}
-	c := cluster.UKMeans(items, k, 0, rand.New(rand.NewSource(m.Seed)))
 	blocks := map[string][]string{}
-	for i, b := range c.Assign {
+	for i, b := range m.cluster(items).Assign {
 		label := "b" + strconv.Itoa(b)
 		blocks[label] = append(blocks[label], items[i].ID)
 	}
-	return disjointPartitions(blocks)
+	return enumerateBlocks(blocks, yield)
 }
 
-// Partitions implements Partitioner. An x-tuple joins the block of
+// EnumeratePairs implements Streamer. An x-tuple joins the block of
 // every alternative key value (Fig. 14), so two tuples can share more
 // than one block; a pair is yielded only in the lexicographically
 // smallest key block the two tuples share. That canonical-block rule
-// makes the partitions overlap-free without a global executed set, so
-// blocks stay independently enumerable.
-func (m BlockingAlternatives) Partitions(xr *pdb.XRelation) []Partition {
+// yields each pair once without a global executed set.
+func (m BlockingAlternatives) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
 	blocks := m.Blocks(xr)
 	// Per tuple, the sorted list of keys under which it was blocked.
 	keysOf := make(map[string][]string, len(xr.Tuples))
@@ -367,38 +311,23 @@ func (m BlockingAlternatives) Partitions(xr *pdb.XRelation) []Partition {
 	for _, ks := range keysOf {
 		sort.Strings(ks)
 	}
-	labels := make([]string, 0, len(blocks))
-	for k, members := range blocks {
-		if len(members) > 1 {
-			labels = append(labels, k)
-		}
-	}
-	sort.Strings(labels)
-	parts := make([]Partition, len(labels))
-	for i, k := range labels {
-		label, members := k, blocks[k]
-		parts[i] = Partition{
-			Label: label,
-			Size:  len(members),
-			Enumerate: func(yield func(verify.Pair) bool) bool {
-				for i := 0; i < len(members); i++ {
-					for j := i + 1; j < len(members); j++ {
-						if members[i] == members[j] {
-							continue
-						}
-						if first, ok := firstCommonKey(keysOf[members[i]], keysOf[members[j]]); !ok || first != label {
-							continue
-						}
-						if !yield(verify.NewPair(members[i], members[j])) {
-							return false
-						}
-					}
+	for _, label := range sortedBlockLabels(blocks) {
+		members := blocks[label]
+		for i := 0; i < len(members); i++ {
+			for j := i + 1; j < len(members); j++ {
+				if members[i] == members[j] {
+					continue
 				}
-				return true
-			},
+				if first, ok := firstCommonKey(keysOf[members[i]], keysOf[members[j]]); !ok || first != label {
+					continue
+				}
+				if !yield(verify.NewPair(members[i], members[j])) {
+					return false
+				}
+			}
 		}
 	}
-	return parts
+	return true
 }
 
 // firstCommonKey merge-walks two sorted key lists and returns their
@@ -430,8 +359,4 @@ var (
 	_ Streamer = BlockingCluster{}
 	_ Streamer = Pruning{}
 	_ Streamer = Filter{}
-
-	_ Partitioner = BlockingCertain{}
-	_ Partitioner = BlockingAlternatives{}
-	_ Partitioner = BlockingCluster{}
 )

@@ -99,37 +99,32 @@ func TestStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// TestPartitionsCoverCandidates asserts for every blocking variant
-// that the union of the partitions equals Candidates with no overlap —
-// the invariant that lets the engine fan out per block without a
-// global executed set.
-func TestPartitionsCoverCandidates(t *testing.T) {
+// TestBlockingEnumeratesEachPairOnce asserts for every blocking
+// variant that the block-by-block enumeration yields no pair twice —
+// the invariant that lets it skip a global executed set — and covers
+// Candidates.
+func TestBlockingEnumeratesEachPairOnce(t *testing.T) {
 	u, def := streamCorpus(t)
-	for _, m := range []Partitioner{
+	for _, m := range []Streamer{
 		BlockingCertain{Key: def},
 		BlockingAlternatives{Key: def},
 		BlockingCluster{Key: def, K: 8, Seed: 1},
 	} {
 		want := m.Candidates(u)
 		got := verify.PairSet{}
-		for _, part := range m.Partitions(u) {
-			if part.Size < 2 {
-				t.Fatalf("%s: singleton partition %q emitted", m.Name(), part.Label)
+		m.EnumeratePairs(u, func(p verify.Pair) bool {
+			if got[p] {
+				t.Fatalf("%s: pair %v yielded twice", m.Name(), p)
 			}
-			part.Enumerate(func(p verify.Pair) bool {
-				if got[p] {
-					t.Fatalf("%s: pair %v in two partitions", m.Name(), p)
-				}
-				got[p] = true
-				return true
-			})
-		}
+			got[p] = true
+			return true
+		})
 		if len(got) != len(want) {
-			t.Fatalf("%s: partitions yielded %d pairs, candidates %d", m.Name(), len(got), len(want))
+			t.Fatalf("%s: enumerated %d pairs, candidates %d", m.Name(), len(got), len(want))
 		}
 		for p := range want {
 			if !got[p] {
-				t.Fatalf("%s: pair %v missing from partitions", m.Name(), p)
+				t.Fatalf("%s: pair %v missing from the enumeration", m.Name(), p)
 			}
 		}
 	}
@@ -137,7 +132,7 @@ func TestPartitionsCoverCandidates(t *testing.T) {
 
 // TestBlockingAlternativesSharedBlocks pins the canonical-block rule
 // on a handcrafted relation where two tuples share two blocks: the
-// pair must surface exactly once, in the smaller key's partition.
+// pair must surface exactly once.
 func TestBlockingAlternativesSharedBlocks(t *testing.T) {
 	xr := pdb.NewXRelation("shared", "name")
 	xr.Append(pdb.NewXTuple("t1", pdb.NewAlt(0.5, "anna"), pdb.NewAlt(0.5, "berta")))
@@ -145,19 +140,16 @@ func TestBlockingAlternativesSharedBlocks(t *testing.T) {
 	def := keys.NewDef(keys.Part{Attr: 0, Prefix: 3})
 	m := BlockingAlternatives{Key: def}
 
-	if want := m.Candidates(xr); len(want) != 1 || !want.Has("t1", "t2") {
-		t.Fatalf("candidates %v", want.Sorted())
+	if blocks := m.Blocks(xr); len(blocks["ann"]) != 2 || len(blocks["ber"]) != 2 {
+		t.Fatalf("blocks %v, want both tuples in 'ann' and 'ber'", blocks)
 	}
-	var yieldedIn []string
-	for _, part := range m.Partitions(xr) {
-		label := part.Label
-		part.Enumerate(func(p verify.Pair) bool {
-			yieldedIn = append(yieldedIn, label)
-			return true
-		})
-	}
-	if len(yieldedIn) != 1 || yieldedIn[0] != "ann" {
-		t.Fatalf("pair yielded in %v, want exactly once in the smallest shared key 'ann'", yieldedIn)
+	var yielded []verify.Pair
+	m.EnumeratePairs(xr, func(p verify.Pair) bool {
+		yielded = append(yielded, p)
+		return true
+	})
+	if len(yielded) != 1 || yielded[0] != verify.NewPair("t1", "t2") {
+		t.Fatalf("yielded %v, want the pair exactly once", yielded)
 	}
 }
 

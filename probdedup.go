@@ -39,9 +39,9 @@
 //	    return true // false stops the run early
 //	})
 //
-// Options.Workers parallelizes matching in both entry points; blocking
-// reductions additionally fan out per block. Worker count never
-// changes the classifications, only throughput and emission order.
+// Options.Workers parallelizes verification in both entry points.
+// Worker count never changes the classifications or the emission
+// order, only throughput.
 //
 // For continuously arriving data, NewDetector maintains the classified
 // pair set online (Add/AddBatch/Remove) for every built-in reduction —
@@ -417,9 +417,6 @@ type (
 	// candidate pairs incrementally instead of materializing the set.
 	// All reduction methods of this package implement it.
 	CandidateStreamer = ssr.Streamer
-	// CandidatePartition is one independently enumerable block of a
-	// partitioning reduction method's search space.
-	CandidatePartition = ssr.Partition
 	// Pair is an unordered tuple-ID pair.
 	Pair = verify.Pair
 	// PairSet is a set of unordered pairs.
@@ -457,20 +454,20 @@ func DetectRelations(r1, r2 *Relation, opts Options) (*Result, error) {
 
 // DetectStream runs the full pipeline on an x-relation and emits each
 // compared pair's match through the callback instead of materializing
-// a Result: candidate pairs are enumerated incrementally, batched
-// through the worker pool (Options.Workers), and discarded after
-// emission, so no per-pair state is retained. With the blocking
-// variants, cross product, SNMCertain, SNMRanked and pruning, memory
-// stays proportional to the relation rather than the candidate pair
-// set; SNMMultiPass and SNMAlternatives keep their executed-matching
-// set while enumerating, and methods without streaming support are
-// adapted by materializing their candidates once. Blocking reductions
-// fan out per block, with partitions enumerated and compared
-// concurrently. A nil Options.Reduction streams the cross product.
+// a Result: candidate pairs are enumerated incrementally, verified in
+// bounded chunks across the worker pool (Options.Workers), and
+// discarded after emission, so no per-pair state is retained. With the
+// blocking variants, cross product, SNMCertain, SNMRanked and pruning,
+// memory stays proportional to the relation rather than the candidate
+// pair set; SNMMultiPass and SNMAlternatives keep their
+// executed-matching set while enumerating, and methods without
+// streaming support are adapted by materializing their candidates
+// once. A nil Options.Reduction streams the cross product.
 //
 // emit is called sequentially from the caller's goroutine and returns
-// false to stop the run early. With Workers > 1 the emission order is
-// unspecified, but classifications are identical to Detect.
+// false to stop the run early. Matches are emitted in the reduction
+// method's enumeration order at every Workers setting, and
+// classifications are identical to Detect.
 func DetectStream(xr *XRelation, opts Options, emit func(PairMatch) bool) (StreamStats, error) {
 	return core.DetectStream(xr, opts, emit)
 }
